@@ -3,6 +3,8 @@
 * :class:`InlabelLCA` — parallel Schieber–Vishkin Inlabel algorithm (GPU, or
   multi-core CPU when given a multi-core execution context).
 * :class:`SequentialInlabelLCA` — the single-core CPU Inlabel baseline.
+* :func:`build_inlabel_tables` — one shared, read-only build both Inlabel
+  flavours can be made from (``from_tables``).
 * :class:`NaiveGPULCA` — the naïve walk-up algorithm of Martins et al.
 * :class:`RMQLCA` — the RMQ-based baseline of the §3.1 preliminary experiment.
 * :class:`BinaryLiftingLCA`, :func:`brute_force_lca_batch` — test oracles.
@@ -23,9 +25,11 @@ from .inlabel import (
     INLABEL_QUERY_COST,
     InlabelLCA,
     InlabelStructure,
+    InlabelTables,
     QueryKernelCost,
     SequentialInlabelLCA,
     build_inlabel_structure,
+    build_inlabel_tables,
 )
 from .naive import NaiveGPULCA, pointer_jump_levels
 from .reference import BinaryLiftingLCA, brute_force_lca_batch
@@ -35,7 +39,9 @@ __all__ = [
     "InlabelLCA",
     "SequentialInlabelLCA",
     "InlabelStructure",
+    "InlabelTables",
     "build_inlabel_structure",
+    "build_inlabel_tables",
     "QueryKernelCost",
     "INLABEL_QUERY_COST",
     "NaiveGPULCA",

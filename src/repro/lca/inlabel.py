@@ -25,17 +25,22 @@ Two execution flavours are provided:
 * :class:`SequentialInlabelLCA` — the single-core CPU baseline; identical
   results, but preprocessing is charged as a sequential DFS plus a sequential
   labeling pass and queries are charged one by one.
+
+Both flavours are made from one read-only :class:`InlabelTables` value (see
+:func:`build_inlabel_tables`), so one build can back any number of them; the
+parallel flavour replays the build's recorded kernel charges into its own
+context, which reproduces a fresh build's modeled cost bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..device import ExecutionContext, ensure_context
+from ..device import GTX980, ExecutionContext, KernelRecord, ensure_context
 from ..errors import InvalidQueryError
 from ..euler import TreeStats, tree_statistics_from_parents
 from ..graphs.trees import query_bounds_mask, validate_parents
@@ -43,7 +48,9 @@ from ..primitives import elementwise
 
 __all__ = [
     "InlabelStructure",
+    "InlabelTables",
     "build_inlabel_structure",
+    "build_inlabel_tables",
     "InlabelLCA",
     "SequentialInlabelLCA",
     "QueryKernelCost",
@@ -196,6 +203,58 @@ def build_inlabel_structure(stats: TreeStats,
     )
 
 
+#: Phase every Inlabel preprocessing charge is booked under.
+_PREPROCESSING = "preprocessing"
+
+
+@dataclass(frozen=True)
+class InlabelTables:
+    """Read-only tree statistics and Inlabel structure of one parent array,
+    plus the parallel build's *charge tape*: its kernel records, in order."""
+
+    stats: TreeStats
+    structure: InlabelStructure
+    tape: Tuple[KernelRecord, ...]
+
+    def replay(self, ctx: ExecutionContext) -> None:
+        """Charge the parallel build to ``ctx``, recomputed on its device.
+
+        The totals, breakdown and trace then equal those of a fresh build.
+        """
+        with ctx.phase(_PREPROCESSING):
+            for record in self.tape:
+                with ctx.phase(record.phase):
+                    ctx.kernel(
+                        record.name,
+                        threads=record.threads,
+                        ops=record.ops,
+                        bytes_read=record.bytes_read,
+                        bytes_written=record.bytes_written,
+                        launches=record.launches,
+                        divergent=record.divergent,
+                        random_access=record.random_access,
+                    )
+
+
+def build_inlabel_tables(parents: np.ndarray) -> InlabelTables:
+    """Run the parallel Inlabel preprocessing once, recording its charges.
+
+    Kernel shapes do not depend on the device, so neither does the tape.
+    """
+    recorder = ExecutionContext(GTX980, trace=True)
+    with recorder.phase(_PREPROCESSING):
+        stats = tree_statistics_from_parents(
+            np.asarray(parents, dtype=np.int64), ctx=recorder)
+        structure = build_inlabel_structure(stats, ctx=recorder)
+    for table in (stats, structure):
+        for field_ in dataclasses.fields(table):
+            value = getattr(table, field_.name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return InlabelTables(stats=stats, structure=structure,
+                         tape=tuple(recorder.records))
+
+
 def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
                    ) -> np.ndarray:
     """Vectorized constant-time LCA queries against an Inlabel structure.
@@ -293,7 +352,42 @@ class QueryKernelCost:
 INLABEL_QUERY_COST = QueryKernelCost(ops=40.0, bytes_read=112.0, bytes_written=8.0)
 
 
-class InlabelLCA:
+class _InlabelFlavour:
+    """What both execution flavours share: their tables and how they are made."""
+
+    def __init__(self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None,
+                 validate: bool = False) -> None:
+        parents = np.asarray(parents, dtype=np.int64)
+        if validate:
+            validate_parents(parents)
+        self._adopt(build_inlabel_tables(parents), ctx)
+
+    @classmethod
+    def from_tables(cls, tables: InlabelTables,
+                    *, ctx: Optional[ExecutionContext] = None):
+        """Make this flavour from prebuilt tables, charging its preprocessing.
+
+        Equals ``cls(parents, ctx=ctx)`` for the parents of ``tables`` —
+        arrays, answers and every charge to ``ctx``.
+        """
+        self = cls.__new__(cls)
+        self._adopt(tables, ctx)
+        return self
+
+    def _adopt(self, tables: InlabelTables,
+               ctx: Optional[ExecutionContext]) -> None:
+        self.tables = tables
+        self.structure = tables.structure
+        self.stats = tables.stats
+        self._charge_preprocessing(ensure_context(ctx))
+
+    @property
+    def n(self) -> int:
+        """Number of tree nodes."""
+        return self.structure.n
+
+
+class InlabelLCA(_InlabelFlavour):
     """Data-parallel Inlabel LCA (the paper's GPU algorithm).
 
     Parameters
@@ -305,8 +399,6 @@ class InlabelLCA:
         labeling kernels).  Point it at :data:`repro.device.GTX980` for the
         GPU algorithm or :data:`repro.device.XEON_X5650_MULTI` for the OpenMP
         multi-core baseline.
-    list_rank_method:
-        List-ranking algorithm for the Euler tour (``"wei-jaja"`` by default).
     validate:
         When true, validate the parent array up front (costs an extra O(n log n)
         host-side check; disable for large benchmark runs).
@@ -314,23 +406,8 @@ class InlabelLCA:
 
     name = "Parallel Inlabel"
 
-    def __init__(self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None,
-                 list_rank_method: str = "wei-jaja", validate: bool = False) -> None:
-        ctx = ensure_context(ctx)
-        parents = np.asarray(parents, dtype=np.int64)
-        if validate:
-            validate_parents(parents)
-        with ctx.phase("preprocessing"):
-            stats = tree_statistics_from_parents(
-                parents, list_rank_method=list_rank_method, ctx=ctx
-            )
-            self.structure = build_inlabel_structure(stats, ctx=ctx)
-        self.stats = stats
-
-    @property
-    def n(self) -> int:
-        """Number of tree nodes."""
-        return self.structure.n
+    def _charge_preprocessing(self, ctx: ExecutionContext) -> None:
+        self.tables.replay(ctx)
 
     def query(self, xs: np.ndarray, ys: np.ndarray,
               *, ctx: Optional[ExecutionContext] = None) -> np.ndarray:
@@ -352,14 +429,14 @@ class InlabelLCA:
         return out
 
 
-class SequentialInlabelLCA:
+class SequentialInlabelLCA(_InlabelFlavour):
     """Single-core CPU Inlabel baseline (identical answers, sequential cost).
 
     The preprocessing is charged as one sequential DFS over the tree (to get
     preorder, subtree sizes and depths) followed by a sequential labeling
-    pass; queries are charged one at a time.  The numeric work is carried out
-    with the same vectorized routines as the parallel implementation — only
-    the cost model differs — so the two flavours are bit-for-bit consistent.
+    pass; queries are charged one at a time.  The tables are the very ones
+    the parallel flavour builds — only the cost model differs — so the two
+    flavours are bit-for-bit consistent.
     """
 
     name = "Sequential Inlabel"
@@ -369,30 +446,15 @@ class SequentialInlabelLCA:
     _PREPROCESS_OPS_PER_NODE = 30.0
     _PREPROCESS_BYTES_PER_NODE = 180.0
 
-    def __init__(self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None,
-                 validate: bool = False) -> None:
-        ctx = ensure_context(ctx)
-        parents = np.asarray(parents, dtype=np.int64)
-        if validate:
-            validate_parents(parents)
-        n = parents.size
-        # Results computed with the shared (uncharged) vectorized code...
-        stats = tree_statistics_from_parents(parents, ctx=None)
-        self.structure = build_inlabel_structure(stats, ctx=None)
-        self.stats = stats
-        # ...but the modeled cost is that of the sequential algorithm.
-        with ctx.phase("preprocessing"):
+    def _charge_preprocessing(self, ctx: ExecutionContext) -> None:
+        n = self.n
+        with ctx.phase(_PREPROCESSING):
             ctx.sequential(
                 "cpu_inlabel_preprocess",
                 ops=self._PREPROCESS_OPS_PER_NODE * n,
                 bytes_touched=self._PREPROCESS_BYTES_PER_NODE * n,
                 random_access=True,
             )
-
-    @property
-    def n(self) -> int:
-        """Number of tree nodes."""
-        return self.structure.n
 
     def query(self, xs: np.ndarray, ys: np.ndarray,
               *, ctx: Optional[ExecutionContext] = None) -> np.ndarray:

@@ -70,7 +70,7 @@ from typing import (
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ..errors import InvalidQueryError, Overloaded, ReplicaDown, ServiceError
+from ..errors import Overloaded, ReplicaDown, ServiceError
 from ..graphs.trees import validate_parents
 from ..obs.events import (
     EV_FAULT,
@@ -92,7 +92,14 @@ from .dispatch import (
 from .faults import FaultEvent, FaultInjector
 from .routing import HashRing, LeastOutstandingRouter, Router, make_router
 from .scheduler import BatchPolicy, FlushedBatch
-from .service import LCAQueryService, block_clean_prefix
+from .registry import InlabelTableMemo
+from .service import (
+    LCAQueryService,
+    admission_columns,
+    arrival_time,
+    block_clean_prefix,
+    query_pair,
+)
 from .stats import ServiceStats, dedup_factor, grow_table, hit_rate
 
 __all__ = ["ClusterService", "ClusterStats"]
@@ -446,13 +453,12 @@ class ClusterService:
         self._worker_config = config.service_config(
             capacity_bytes=slice_bytes, answer_cache_bytes=cache_slice
         )
+        self._dispatcher_factory = factory
+        # One memo for the whole fleet: every replica, including ones added
+        # later, makes its Inlabel flavours from one host build per tree.
+        self._inlabel_tables = InlabelTableMemo()
         self._replicas: Tuple[LCAQueryService, ...] = tuple(
-            LCAQueryService(
-                config=self._worker_config,
-                dispatcher=factory(),
-                clock=SimulatedClock(config.start_time),
-            )
-            for _ in range(n_workers)
+            self._new_worker(config.start_time) for _ in range(n_workers)
         )
         self._placement: Dict[str, Tuple[int, ...]] = {}
         self._sizes: Dict[str, Optional[int]] = {}
@@ -471,7 +477,6 @@ class ClusterService:
         self._hedge_delay_s = (None if config.hedge_delay_s is None
                                else float(config.hedge_delay_s))
         self._max_retries = int(config.max_retries)
-        self._dispatcher_factory = factory
         self._alive: List[bool] = [True] * n_workers
         self._retired: List[bool] = [False] * n_workers
         # Replica-second accounting: birth instant per replica id, and the
@@ -679,6 +684,16 @@ class ClusterService:
     # ------------------------------------------------------------------
     # Elastic membership
     # ------------------------------------------------------------------
+    def _new_worker(self, start_s: float) -> LCAQueryService:
+        """A replica worker on the per-replica config and the shared memo."""
+        worker = LCAQueryService(
+            config=self._worker_config,
+            dispatcher=self._dispatcher_factory(),
+            clock=SimulatedClock(start_s),
+        )
+        worker.registry.inlabel_tables = self._inlabel_tables
+        return worker
+
     def add_replica(self) -> int:
         """Scale out: add one replica worker live; returns its replica id.
 
@@ -688,7 +703,9 @@ class ClusterService:
         registered as warm spares), and any queries parked with no live
         copy are re-dispatched to it.  Index artifacts are *not* shipped:
         the new owner's :class:`~repro.service.registry.IndexRegistry`
-        rebuilds them lazily on first use, exactly like a cold start.
+        builds them lazily on first use and pays the modeled build, exactly
+        like a cold start — though its host tables come from the cluster's
+        shared :class:`~repro.service.registry.InlabelTableMemo`.
 
         >>> import numpy as np
         >>> cluster = ClusterService(2)
@@ -699,11 +716,7 @@ class ClusterService:
         (3, 3)
         """
         rid = len(self._replicas)
-        worker = LCAQueryService(
-            config=self._worker_config,
-            dispatcher=self._dispatcher_factory(),
-            clock=SimulatedClock(self.clock.now),
-        )
+        worker = self._new_worker(self.clock.now)
         self._replicas = self._replicas + (worker,)
         self._alive.append(True)
         self._retired.append(False)
@@ -835,13 +848,7 @@ class ClusterService:
             changed.append(rid)
             worker = self._replicas[rid]
             for name in worker.datasets:
-                for backend in worker.dispatcher.backends:
-                    worker.registry.fetch(
-                        name,
-                        "lca",
-                        backend.spec,
-                        sequential=backend.sequential,
-                    )
+                worker.warm(name)
         while self.n_active > n:
             victim = self._scale_in_victim()
             if victim is None:
@@ -943,18 +950,8 @@ class ClusterService:
         0
         """
         copies = self._copies(dataset)
-        n = self._dataset_size(dataset)
-        if not (0 <= int(x) < n and 0 <= int(y) < n):
-            raise InvalidQueryError(
-                f"query nodes ({x}, {y}) out of range for dataset {dataset!r} "
-                f"with {n} nodes"
-            )
-        t = self.clock.now if at is None else float(at)
-        if t < self.clock.now:
-            raise ServiceError(
-                f"cannot move the clock backwards (now={self.clock.now}, "
-                f"requested={t})"
-            )
+        x, y = query_pair(x, y, n=self._dataset_size(dataset), dataset=dataset)
+        t = arrival_time(at, self.clock.now)
         if self.fault_injector is not None:
             self._apply_faults(t)
             copies = self._copies(dataset)
@@ -990,7 +987,7 @@ class ClusterService:
                     shed=1,
                 )
         target = self.router.route_one(dataset, copies, self._outstanding(copies))
-        local = self._replicas[target].submit(dataset, int(x), int(y), at=t)
+        local = self._replicas[target].submit(dataset, x, y, at=t)
         ticket = self._next_ticket
         self._next_ticket += 1
         self._ensure_ticket_capacity(self._next_ticket)
@@ -1014,8 +1011,10 @@ class ClusterService:
         cut into per-replica sub-blocks (each an arrival-ordered subsequence
         admitted through the worker's own vectorized ``submit_many``).
 
-        Error semantics mirror :meth:`LCAQueryService.submit_many`: the
-        clean prefix is admitted, then the first offending position raises.
+        Error semantics mirror :meth:`LCAQueryService.submit_many`: a
+        malformed block is refused whole before any state changes; for an
+        out-of-range query the clean prefix is admitted, then its position
+        raises.
         Admission control additionally caps the prefix at the cluster
         queue's free space — measured at the block's first arrival — and
         raises :class:`~repro.errors.Overloaded` for the remainder; chunked
@@ -1031,27 +1030,14 @@ class ClusterService:
         [1, 0]
         """
         copies = self._copies(dataset)
-        xs = np.atleast_1d(np.asarray(xs, dtype=np.int64))
-        ys = np.atleast_1d(np.asarray(ys, dtype=np.int64))
-        if xs.shape != ys.shape:
-            raise ServiceError("query arrays must have the same shape")
-        if at is not None:
-            at = np.atleast_1d(np.asarray(at, dtype=np.float64))
-            if at.shape != xs.shape:
-                raise ServiceError("timestamp array must match the query arrays")
+        xs, ys, arrivals = admission_columns(xs, ys, at, now=self.clock.now)
         if xs.size == 0:
             return np.empty(0, dtype=np.int64)
         n = self._dataset_size(dataset)
-        if at is None:
-            arrivals = np.full(xs.size, self.clock.now, dtype=np.float64)
-        else:
-            arrivals = at
 
-        # Same first-offender semantics as the single-node block path — the
-        # shared helper keeps the two validators in lockstep.
-        stop, error = block_clean_prefix(
-            xs, ys, arrivals, n=n, dataset=dataset, now=self.clock.now
-        )
+        # Same validation and first-offender semantics as the single-node
+        # block path — the shared helpers keep the two in lockstep.
+        stop, error = block_clean_prefix(xs, ys, n=n, dataset=dataset)
 
         if stop:
             if self.fault_injector is not None:
@@ -1133,11 +1119,7 @@ class ClusterService:
         True
         """
         for c in self._copies(dataset):
-            worker = self._replicas[c]
-            for backend in worker.dispatcher.backends:
-                worker.registry.fetch(
-                    dataset, "lca", backend.spec, sequential=backend.sequential
-                )
+            self._replicas[c].warm(dataset)
 
     def advance_to(self, t: float) -> None:
         """Advance the whole cluster, serving every wait-expired batch.

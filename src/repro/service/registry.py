@@ -11,17 +11,23 @@ query costs nanoseconds.  This module therefore separates the two concerns:
 * :class:`IndexRegistry` owns the *derived* artifacts (Inlabel LCA
   structures, Euler tours, tree statistics, CSR adjacency, bridge results),
   built lazily on first use, keyed by ``(dataset, kind, device)`` and held in
-  a byte-accounted LRU cache with optional capacity-driven eviction.
+  a byte-accounted LRU cache with optional capacity-driven eviction;
+* :class:`InlabelTableMemo` holds the host-side Inlabel tables by content, so
+  both execution flavours — and, in a cluster, every replica — of one tree
+  share a single build.
 
 Builds are charged to an :class:`~repro.device.ExecutionContext` on the
 artifact's device, so the modeled preprocessing cost of a cache miss is
 available to the service layer (a cold dataset's first batch pays for its own
-index build, exactly like a real serving system warming a cache).
+index build, exactly like a real serving system warming a cache) — even when
+its host tables were shared.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -34,13 +40,19 @@ from ..errors import ServiceError
 from ..euler import build_euler_tour_from_parents, tree_statistics_from_parents
 from ..graphs import CSRGraph, EdgeList
 from ..graphs.trees import validate_parents
-from ..lca import InlabelLCA, SequentialInlabelLCA
+from ..lca import (
+    InlabelLCA,
+    InlabelTables,
+    SequentialInlabelLCA,
+    build_inlabel_tables,
+)
 
 __all__ = [
     "ArtifactKey",
     "CacheEntry",
     "ForestStore",
     "IndexRegistry",
+    "InlabelTableMemo",
     "ARTIFACT_KINDS",
     "artifact_nbytes",
 ]
@@ -94,8 +106,9 @@ class ArtifactKey:
     for ``"lca"`` it is ``"sequential"`` or ``"parallel"`` (which execution
     flavour of the Inlabel algorithm the entry holds), or the key of a real
     kernel backend from the :mod:`repro.backends` registry (the entry then
-    holds that backend's compiled kernel).  Index artifacts are per-backend:
-    two backends serving the same dataset each compile and cache their own.
+    holds that backend's compiled kernel).  Every key is cached and charged
+    on its own; only the two Inlabel flavours share host tables (see
+    :class:`InlabelTableMemo`).
     """
 
     dataset: str
@@ -214,6 +227,36 @@ class ForestStore:
         return self._graphs[name]  # type: ignore[return-value]
 
 
+class InlabelTableMemo:
+    """Inlabel tables by tree content, built once and shared while in use.
+
+    Keyed by a BLAKE2b digest of the parent array, confirmed on a hit by
+    comparing the arrays.  Tables are held weakly, so capacity eviction still
+    frees them once no registry holds an artifact made from them.  One memo
+    serves one target: a service, or every replica of a cluster.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[
+            bytes, Tuple[np.ndarray, "weakref.ref[InlabelTables]"]] = {}
+
+    def tables(self, parents: np.ndarray) -> InlabelTables:
+        """The tables of ``parents`` (an int64 parent array), built on a miss."""
+        parents = np.asarray(parents, dtype=np.int64)
+        digest = hashlib.blake2b(parents.tobytes(), digest_size=16).digest()
+        entry = self._entries.get(digest)
+        if entry is not None:
+            built_from, ref = entry
+            tables = ref()
+            if tables is not None and np.array_equal(built_from, parents):
+                return tables
+        tables = build_inlabel_tables(parents)
+        self._entries = {key: value for key, value in self._entries.items()
+                         if value[1]() is not None}
+        self._entries[digest] = (parents, weakref.ref(tables))
+        return tables
+
+
 class IndexRegistry:
     """Byte-accounted LRU cache of derived artifacts over a :class:`ForestStore`.
 
@@ -227,6 +270,10 @@ class IndexRegistry:
         inserted is never evicted (a single artifact larger than the capacity
         is served but not retained alongside anything else).  ``None`` means
         unbounded.
+
+    Each key is its own entry with its own bytes and modeled build time, but
+    the ``"sequential"`` and ``"parallel"`` Inlabel entries take their host
+    tables from :attr:`inlabel_tables` (a cluster shares one memo).
     """
 
     def __init__(self, store: ForestStore, *,
@@ -246,6 +293,8 @@ class IndexRegistry:
         #: build and ``("evict", key, freed bytes)`` after each eviction.
         #: The service layer wires this to the attached trace recorder.
         self.event_hook: Optional[Callable[[str, ArtifactKey, float], None]] = None
+        #: Where the Inlabel flavours get their host tables from.
+        self.inlabel_tables = InlabelTableMemo()
 
     # ------------------------------------------------------------------
     # Builders
@@ -256,9 +305,11 @@ class IndexRegistry:
         if kind == "lca":
             parents = self.store.tree(key.dataset)
             if key.variant == "sequential":
-                return SequentialInlabelLCA(parents, ctx=ctx)
+                return SequentialInlabelLCA.from_tables(
+                    self.inlabel_tables.tables(parents), ctx=ctx)
             if key.variant in ("", "parallel"):
-                return InlabelLCA(parents, ctx=ctx)
+                return InlabelLCA.from_tables(
+                    self.inlabel_tables.tables(parents), ctx=ctx)
             # Any other variant names a real kernel backend; compile its
             # per-tree kernel as the artifact (lazy import: the registry
             # stays usable without the backend package loaded).

@@ -42,6 +42,7 @@ bit-identical with the fast path on or off.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -85,47 +86,127 @@ _MIN_TICKET_TABLE = 1024
 CACHE_BACKEND_KEY = "cache"
 
 
+def _node_id(value: Any) -> int:
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    as_float = float(value)
+    if not as_float.is_integer():
+        raise InvalidQueryError(f"query node ids must be integers, got {value!r}")
+    return int(as_float)
+
+
+def query_pair(x: Any, y: Any, *, n: int, dataset: str) -> Tuple[int, int]:
+    """One submitted node pair as ints; refused unless integral and in range."""
+    x, y = _node_id(x), _node_id(y)
+    if not (0 <= x < n and 0 <= y < n):
+        raise InvalidQueryError(
+            f"query nodes ({x}, {y}) out of range for dataset {dataset!r} "
+            f"with {n} nodes"
+        )
+    return x, y
+
+
+def arrival_time(at: Optional[float], now: float) -> float:
+    """One submitted arrival instant; it must be finite and not before ``now``."""
+    t = now if at is None else float(at)
+    if not math.isfinite(t):
+        raise ServiceError(f"arrival times must be finite, got {t}")
+    if t < now:
+        raise ServiceError(
+            f"cannot move the clock backwards (now={now}, requested={t})"
+        )
+    return t
+
+
+def _node_column(values: ArrayLike) -> np.ndarray:
+    raw = np.atleast_1d(np.asarray(values))
+    if raw.dtype.kind != "f":
+        return raw.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        ids = raw.astype(np.int64)
+    truncated = ids != raw
+    if truncated.any():
+        raise InvalidQueryError(
+            f"query node ids must be integers, got {raw[truncated.argmax()]!r}"
+        )
+    return ids
+
+
+def admission_columns(
+    xs: ArrayLike,
+    ys: ArrayLike,
+    at: Optional[ArrayLike],
+    *,
+    now: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a submitted block, in vectorized passes, before any state changes.
+
+    Returns int64 node columns and float64 arrivals (``now`` when ``at`` is
+    omitted).  Non-integral ids, non-finite arrivals, and arrivals before
+    ``now`` or before their predecessor raise, so the block admits nothing.
+
+    >>> admission_columns([1, 2], [3, 4], [1e-3, 0.0], now=0.0)
+    Traceback (most recent call last):
+        ...
+    repro.errors.ServiceError: cannot move the clock backwards (now=0.001, requested=0.0)
+    """
+    xs = _node_column(xs)
+    ys = _node_column(ys)
+    if xs.shape != ys.shape:
+        raise ServiceError("query arrays must have the same shape")
+    if at is None:
+        return xs, ys, np.full(xs.size, now, dtype=np.float64)
+    arrivals = np.atleast_1d(np.asarray(at, dtype=np.float64))
+    if arrivals.shape != xs.shape:
+        raise ServiceError("timestamp array must match the query arrays")
+    if xs.size == 0:
+        return xs, ys, arrivals
+    # One pass: NaN fails every comparison, so an in-order block whose last
+    # arrival is below +inf is also finite (``now`` is).
+    in_order = np.empty(arrivals.size, dtype=bool)
+    in_order[0] = arrivals[0] >= now
+    np.greater_equal(arrivals[1:], arrivals[:-1], out=in_order[1:])
+    if in_order.all() and arrivals[-1] < np.inf:
+        return xs, ys, arrivals
+    finite = np.isfinite(arrivals)
+    if not finite.all():
+        raise ServiceError(
+            f"arrival times must be finite, got {arrivals[finite.argmin()]}"
+        )
+    stop = int(in_order.argmin())
+    prev = now if stop == 0 else float(arrivals[stop - 1])
+    raise ServiceError(
+        f"cannot move the clock backwards (now={prev}, "
+        f"requested={float(arrivals[stop])})"
+    )
+
+
 def block_clean_prefix(
     xs: np.ndarray,
     ys: np.ndarray,
-    arrivals: np.ndarray,
     *,
     n: int,
     dataset: str,
-    now: float,
 ) -> Tuple[int, Optional[Exception]]:
-    """Admissible prefix of a column block, with the first offender's error.
+    """Admissible prefix of a validated block, with the first offender's error.
 
-    Replicates the per-query loop's error semantics in bulk: one fused
-    bounds check finds every out-of-range query, a backwards arrival is an
-    adjacent-difference check against ``now``, and the earliest offender
-    wins.  Returns ``(stop, error)`` — admit ``[:stop]``, then raise
-    ``error`` (``None`` when the whole block is clean).
+    Replicates the per-query loop's error semantics for out-of-range nodes
+    in bulk: one fused bounds check finds every out-of-range query and the
+    earliest one wins.  Returns ``(stop, error)`` — admit ``[:stop]``, then
+    raise ``error`` (``None`` when the whole block is in range).
 
     Shared by :meth:`LCAQueryService.submit_many` and the cluster layer's
     block path, which must stay in lockstep for the documented 1-replica
     bit-identical equivalence.
     """
     bad = query_bounds_mask(xs, ys, n)
-    stop = int(xs.size)
-    error: Optional[Exception] = None
-    if bad.any():
-        stop = int(bad.argmax())
-        error = InvalidQueryError(
-            f"query nodes ({xs[stop]}, {ys[stop]}) out of range for "
-            f"dataset {dataset!r} with {n} nodes"
-        )
-    moved_back = np.empty(xs.size, dtype=bool)
-    moved_back[0] = arrivals[0] < now
-    np.less(arrivals[1:], arrivals[:-1], out=moved_back[1:])
-    if moved_back[:stop].any():
-        stop = int(moved_back.argmax())
-        prev = now if stop == 0 else float(arrivals[stop - 1])
-        error = ServiceError(
-            f"cannot move the clock backwards (now={prev}, "
-            f"requested={float(arrivals[stop])})"
-        )
-    return stop, error
+    if not bad.any():
+        return int(xs.size), None
+    stop = int(bad.argmax())
+    return stop, InvalidQueryError(
+        f"query nodes ({xs[stop]}, {ys[stop]}) out of range for "
+        f"dataset {dataset!r} with {n} nodes"
+    )
 
 
 class LCAQueryService:
@@ -495,6 +576,18 @@ class LCAQueryService:
         """
         return list(self._schedulers)
 
+    def warm(self, dataset: str) -> None:
+        """Prebuild the LCA index of ``dataset`` for every backend.
+
+        >>> svc = LCAQueryService()
+        >>> svc.register_tree("t", np.array([-1, 0, 0]))
+        >>> svc.warm("t"); svc.registry.misses
+        2
+        """
+        for backend in self.dispatcher.backends:
+            self.registry.fetch(dataset, "lca", backend.spec,
+                                sequential=backend.sequential)
+
     @property
     def tickets_issued(self) -> int:
         """How many tickets have been issued so far (tickets are ``0..n-1``).
@@ -539,13 +632,8 @@ class LCAQueryService:
         0
         """
         scheduler = self._scheduler(dataset)
-        n = self.store.tree(dataset).size
-        if not (0 <= int(x) < n and 0 <= int(y) < n):
-            raise InvalidQueryError(
-                f"query nodes ({x}, {y}) out of range for dataset {dataset!r} "
-                f"with {n} nodes"
-            )
-        t = self.clock.now if at is None else float(at)
+        x, y = query_pair(x, y, n=self.store.tree(dataset).size, dataset=dataset)
+        t = arrival_time(at, self.clock.now)
         # Serve everything that expired before this arrival, across all
         # datasets, in global flush-time order; the submitted dataset's
         # deadline exactly at t stays pending so this query can join it.
@@ -580,9 +668,12 @@ class LCAQueryService:
         the front-door memoization, so its cache hits are answered at arrival
         instead of at batch flush (see :meth:`_admit_memoized`).
 
-        Error semantics match the per-query loop exactly: an out-of-range
-        query or a backwards arrival raises at its own position, after every
-        query before it has been admitted (and possibly served).
+        A malformed block is refused whole, before any state changes: a
+        non-integral node id, a non-finite arrival, or an arrival before the
+        clock or before its predecessor (see :func:`admission_columns`).  An
+        out-of-range query raises at its own position, after every query
+        before it has been admitted (and possibly served), exactly like the
+        per-query loop.
 
         ``latency_debt`` (cluster failover only) gives each query latency
         already accrued before this re-admission — the gap between its true
@@ -600,27 +691,16 @@ class LCAQueryService:
         [1, 0]
         """
         scheduler = self._scheduler(dataset)
-        xs = np.atleast_1d(np.asarray(xs, dtype=np.int64))
-        ys = np.atleast_1d(np.asarray(ys, dtype=np.int64))
-        if xs.shape != ys.shape:
-            raise ServiceError("query arrays must have the same shape")
-        if at is not None:
-            at = np.atleast_1d(np.asarray(at, dtype=np.float64))
-            if at.shape != xs.shape:
-                raise ServiceError("timestamp array must match the query arrays")
+        xs, ys, arrivals = admission_columns(xs, ys, at, now=self.clock.now)
         if xs.size == 0:
             return np.empty(0, dtype=np.int64)
         n = self.store.tree(dataset).size
-        if at is None:
-            arrivals = np.full(xs.size, self.clock.now, dtype=np.float64)
-        else:
-            arrivals = at
 
         # Admissible prefix: the per-query loop raises at the first
-        # offending index after admitting everything before it — replicate
-        # that by admitting the clean prefix, then raising the same error.
-        stop, error = block_clean_prefix(xs, ys, arrivals, n=n,
-                                         dataset=dataset, now=self.clock.now)
+        # out-of-range index after admitting everything before it —
+        # replicate that by admitting the clean prefix, then raising the
+        # same error.
+        stop, error = block_clean_prefix(xs, ys, n=n, dataset=dataset)
 
         tickets = np.arange(self._next_ticket, self._next_ticket + stop,
                             dtype=np.int64)

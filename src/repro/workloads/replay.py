@@ -280,17 +280,6 @@ def _tree_parents(target: ServiceTarget, dataset: str) -> np.ndarray:
     return target.store.tree(dataset)
 
 
-def _warm_target(target: ServiceTarget, dataset: str) -> None:
-    """Prebuild the LCA index for every backend holding ``dataset``."""
-    if isinstance(target, ClusterService):
-        target.warm(dataset)
-        return
-    for backend in target.dispatcher.backends:
-        target.registry.fetch(
-            dataset, "lca", backend.spec, sequential=backend.sequential
-        )
-
-
 def _register_sources(
     target: ServiceTarget, scenario: Scenario, warm: bool
 ) -> Dict[str, int]:
@@ -319,7 +308,7 @@ def _register_sources(
             else:
                 target.register_tree(source.dataset, parents)
         if warm:
-            _warm_target(target, source.dataset)
+            target.warm(source.dataset)
         sizes[source.dataset] = int(_tree_parents(target, source.dataset).size)
     return sizes
 

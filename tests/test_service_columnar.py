@@ -250,10 +250,15 @@ def test_submit_many_backwards_arrival_rejects_at_its_own_position():
     parents = random_attachment_tree(100, seed=8)
     service = LCAQueryService()
     service.register_tree("t", parents)
-    with pytest.raises(ServiceError, match="backwards"):
+    with pytest.raises(ServiceError,
+                       match=r"backwards \(now=0.002, requested=0.001\)"):
         service.submit_many("t", [1, 2, 3], [4, 5, 6],
                             at=[1e-3, 2e-3, 1e-3])  # third query rewinds
-    assert service.stats().queries_submitted == 2
+    # A rewinding block is malformed: it is refused whole, before any state
+    # changes (its clean prefix is not admitted).
+    assert service.stats().queries_submitted == 0
+    assert service.tickets_issued == 0
+    service.submit_many("t", [1, 2], [4, 5], at=[1e-3, 2e-3])
     # A block starting before the current clock admits nothing.
     with pytest.raises(ServiceError, match="backwards"):
         service.submit_many("t", [1], [2], at=[1e-4])
