@@ -8,7 +8,7 @@ columnar blocks — one anonymous shared mapping per column (``xs``, ``ys``,
 * the parent stages a batch by writing the query columns into the shared
   blocks (no serialization of array payloads, ever);
 * each worker receives only a ``(lo, hi)`` shard descriptor over its pipe,
-  computes answers for its rows with the vectorized kernel, and writes them
+  computes answers for its rows with the shared Inlabel kernel, and writes them
   into its slice of the answer column;
 * the parent reads the assembled answer column back after all shards ack.
 
@@ -21,7 +21,7 @@ it in one piece.
 The backend is **opt-in**: it is registered but never part of the default
 backend set, and the single-process paths remain first-class (the reference
 container has one core, where a pool can only lose).  Batches above the
-block size and non-1-D inputs fall back to the in-process vectorized kernel,
+block size and non-1-D inputs fall back to the in-process shared kernel,
 so the backend is correct at any size.
 
 Compiled pool kernels own real OS resources (processes, mappings).  They are

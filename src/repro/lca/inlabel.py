@@ -30,13 +30,26 @@ Both flavours are made from one read-only :class:`InlabelTables` value (see
 :func:`build_inlabel_tables`), so one build can back any number of them; the
 parallel flavour replays the build's recorded kernel charges into its own
 context, which reproduces a fresh build's modeled cost bit for bit.
+
+Both flavours, and every kernel backend, answer queries through one host
+kernel, :func:`_query_inlabel`, whose batch size picks the host path:
+
+* at most :data:`_SCALAR_MAX` queries take a *scalar pass* — Python ints,
+  the shared tables read through ``ndarray.item`` and ``ilog2`` from
+  ``int.bit_length`` — which pays no NumPy dispatch and copies no table;
+* larger batches take a branch-free *vector pass* of about forty NumPy
+  calls, whatever the batch size.
+
+The two paths return the same answers, in the queries' shape, and raise the
+same errors.  The modeled query charge comes from :data:`INLABEL_QUERY_COST`
+alone, never from the path taken.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -255,11 +268,55 @@ def build_inlabel_tables(parents: np.ndarray) -> InlabelTables:
                          tape=tuple(recorder.records))
 
 
-def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
-                   ) -> np.ndarray:
-    """Vectorized constant-time LCA queries against an Inlabel structure.
+#: Batches of at most this many queries take the scalar host path; larger
+#: ones take the vector path.  Below it, NumPy's fixed per-call dispatch
+#: costs more than the interpreter's per-query work (crossover table in
+#: ``docs/architecture.md``).
+_SCALAR_MAX = 16
 
-    Pure computation (no cost accounting); both execution flavours wrap this.
+
+def _scalar_pass(xs: Iterable[int], ys: Iterable[int], n: int,
+                 inlabel: Callable[[int], int],
+                 ascendant: Callable[[int], int],
+                 head: Callable[[int], int],
+                 depth: Callable[[int], int],
+                 parent: Callable[[int], int]) -> List[int]:
+    """LCA queries one pair at a time, in exact Python int arithmetic.
+
+    The five tables are index callables (``ndarray.item`` or a list's
+    ``__getitem__``), so each caller keeps its own layout and nothing is
+    copied.  Every intermediate fits in int64, so these are the values the
+    vector pass computes.
+    """
+    out: List[int] = []
+    for x, y in zip(xs, ys):
+        if not (0 <= x < n and 0 <= y < n):
+            raise InvalidQueryError("query nodes out of range")
+        ix = inlabel(x)
+        iy = inlabel(y)
+        if ix != iy:
+            i = (ix ^ iy).bit_length() - 1
+            common_high = ((ascendant(x) & ascendant(y)) >> i) << i
+            low_j = common_high & -common_high
+            inlabel_z = (ix & ~((low_j << 1) - 1)) | low_j
+            if ix != inlabel_z:
+                high_k = 1 << ((ascendant(x) & (low_j - 1)).bit_length() - 1)
+                x = parent(head((ix & ~((high_k << 1) - 1)) | high_k))
+            if iy != inlabel_z:
+                high_k = 1 << ((ascendant(y) & (low_j - 1)).bit_length() - 1)
+                y = parent(head((iy & ~((high_k << 1) - 1)) | high_k))
+        out.append(x if depth(x) <= depth(y) else y)
+    return out
+
+
+def _vector_pass(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
+                 ) -> np.ndarray:
+    """LCA queries over in-range 1-D node arrays, with no per-row branch.
+
+    Same-inlabel pairs need no special case: there ``inlabel_z == ix`` and
+    neither side climbs.  The ``ilog2`` arguments are clamped to at least 1,
+    so rows whose value ``np.where`` discards still index inside the tables
+    (an unused ``head`` slot holds -1, which reads the last ``parent``).
     """
     inlabel = structure.inlabel
     ascendant = structure.ascendant
@@ -267,67 +324,55 @@ def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
     depth = structure.depth
     parent = structure.parent
 
+    ix = inlabel[xs]
+    iy = inlabel[ys]
+    # i: highest bit where the inlabels differ; low_j: the lowest common
+    # ascendant level at or above i — the B-level bit of the LCA's inlabel.
+    # ``x & -x`` isolates it directly; every use of the level j below only
+    # needs the bit ``1 << j`` or the mask ``(1 << j) - 1``.
+    i = _ilog2(np.maximum(ix ^ iy, 1))
+    common_high = ((ascendant[xs] & ascendant[ys]) >> i) << i
+    low_j = common_high & -common_high
+    inlabel_z = (ix & ~((low_j << 1) - 1)) | low_j
+
+    def climb(nodes: np.ndarray, node_inlabels: np.ndarray) -> np.ndarray:
+        """Lowest ancestor of each node whose inlabel equals inlabel_z."""
+        # Highest ascendant level of the node strictly below j: the inlabel
+        # path entered just below the LCA's path.
+        below = np.maximum(ascendant[nodes] & (low_j - 1), 1)
+        high_k = np.int64(1) << _ilog2(below)
+        w = head[(node_inlabels & ~((high_k << 1) - 1)) | high_k]
+        return np.where(node_inlabels == inlabel_z, nodes, parent[w])
+
+    xbar = climb(xs, ix)
+    ybar = climb(ys, iy)
+    return np.where(depth[xbar] <= depth[ybar], xbar, ybar)
+
+
+def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
+                   ) -> np.ndarray:
+    """Constant-time LCA queries against an Inlabel structure.
+
+    Pure computation (no cost accounting): both execution flavours and every
+    kernel backend call this.  Answers come back in the queries' shape.  The
+    batch size picks the host path (:data:`_SCALAR_MAX`); answers and errors
+    are the same on both.
+    """
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
     if xs.shape != ys.shape:
         raise InvalidQueryError("query arrays must have the same shape")
-    if xs.size == 0:
-        return np.empty(0, dtype=np.int64)
-    n = structure.n
+    if xs.size <= _SCALAR_MAX:
+        s = structure
+        answers = _scalar_pass(xs.ravel().tolist(), ys.ravel().tolist(), s.n,
+                               s.inlabel.item, s.ascendant.item, s.head.item,
+                               s.depth.item, s.parent.item)
+        return np.array(answers, dtype=np.int64).reshape(xs.shape)
     # Single fused bounds check (uint64 reinterpretation) instead of the
     # four separate min/max reduction passes over the query arrays.
-    if query_bounds_mask(xs, ys, n).any():
+    if query_bounds_mask(xs, ys, structure.n).any():
         raise InvalidQueryError("query nodes out of range")
-
-    ix = inlabel[xs]
-    iy = inlabel[ys]
-    answer = np.empty(xs.size, dtype=np.int64)
-
-    same = ix == iy
-    if same.any():
-        take_x = depth[xs[same]] <= depth[ys[same]]
-        answer[same] = np.where(take_x, xs[same], ys[same])
-
-    diff = ~same
-    if diff.any():
-        dx = xs[diff]
-        dy = ys[diff]
-        ixd = ix[diff]
-        iyd = iy[diff]
-        # i: highest bit where the inlabels differ; low_j: the lowest common
-        # ascendant level at or above i — the B-level bit of the LCA's
-        # inlabel.  ``x & -x`` isolates it directly; no trailing-zero count
-        # (and its frexp float round-trip) is needed, because every use of
-        # the level j below only ever needs the bit ``1 << j`` or the mask
-        # ``(1 << j) - 1``.
-        i = _ilog2(ixd ^ iyd)
-        common = ascendant[dx] & ascendant[dy]
-        common_high = (common >> i) << i
-        low_j = common_high & -common_high
-        inlabel_z = (ixd & ~((low_j << 1) - 1)) | low_j
-
-        def climb(nodes: np.ndarray, node_inlabels: np.ndarray) -> np.ndarray:
-            """Lowest ancestor of each node whose inlabel equals inlabel_z."""
-            out = nodes.copy()
-            needs_climb = node_inlabels != inlabel_z
-            if needs_climb.any():
-                nn = nodes[needs_climb]
-                # Highest ascendant level of the node strictly below j: the
-                # inlabel path entered just below the LCA's path.
-                below = ascendant[nn] & (low_j[needs_climb] - 1)
-                k = _ilog2(below)
-                high_k = np.int64(1) << k
-                inlabel_w = (node_inlabels[needs_climb]
-                             & ~((high_k << 1) - 1)) | high_k
-                w = head[inlabel_w]
-                out[needs_climb] = parent[w]
-            return out
-
-        xbar = climb(dx, ixd)
-        ybar = climb(dy, iyd)
-        take_x = depth[xbar] <= depth[ybar]
-        answer[diff] = np.where(take_x, xbar, ybar)
-    return answer
+    return _vector_pass(structure, xs.ravel(), ys.ravel()).reshape(xs.shape)
 
 
 @dataclass(frozen=True)

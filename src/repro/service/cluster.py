@@ -97,7 +97,7 @@ from .service import (
     LCAQueryService,
     admission_columns,
     arrival_time,
-    block_clean_prefix,
+    check_block_nodes,
     query_pair,
 )
 from .stats import ServiceStats, dedup_factor, grow_table, hit_rate
@@ -1012,12 +1012,11 @@ class ClusterService:
         admitted through the worker's own vectorized ``submit_many``).
 
         Error semantics mirror :meth:`LCAQueryService.submit_many`: a
-        malformed block is refused whole before any state changes; for an
-        out-of-range query the clean prefix is admitted, then its position
-        raises.
-        Admission control additionally caps the prefix at the cluster
-        queue's free space — measured at the block's first arrival — and
-        raises :class:`~repro.errors.Overloaded` for the remainder; chunked
+        malformed block, out-of-range node ids included, is refused whole
+        before any state changes.
+        Admission control caps the admitted prefix at the cluster queue's
+        free space — measured at the block's first arrival — and raises
+        :class:`~repro.errors.Overloaded` for the remainder; chunked
         submission lets admission observe mid-stream flushes.
 
         >>> import numpy as np
@@ -1033,32 +1032,30 @@ class ClusterService:
         xs, ys, arrivals = admission_columns(xs, ys, at, now=self.clock.now)
         if xs.size == 0:
             return np.empty(0, dtype=np.int64)
-        n = self._dataset_size(dataset)
+        # The single-node block path's own check: both refuse alike.
+        check_block_nodes(xs, ys, n=self._dataset_size(dataset), dataset=dataset)
+        stop = int(xs.size)
+        error: Optional[Exception] = None
 
-        # Same validation and first-offender semantics as the single-node
-        # block path — the shared helpers keep the two in lockstep.
-        stop, error = block_clean_prefix(xs, ys, n=n, dataset=dataset)
-
-        if stop:
-            if self.fault_injector is not None:
-                self._apply_faults(float(arrivals[0]))
-                copies = self._copies(dataset)
-            for replica in self._replicas:
-                replica.advance_to(float(arrivals[0]), joining=dataset)
-            # Keep the cluster frontier in sync with the workers even if the
-            # whole block is subsequently shed by admission control.
-            self.clock.advance_to(float(arrivals[0]))
-            if not self._all_alive:
-                live = self._live(copies)
-                if not live:
-                    raise ReplicaDown(
-                        f"all {len(copies)} copies of dataset {dataset!r} "
-                        f"are down",
-                        dataset=dataset,
-                        queries=int(stop),
-                    )
-                copies = live
-        if self._max_pending is not None and stop:
+        if self.fault_injector is not None:
+            self._apply_faults(float(arrivals[0]))
+            copies = self._copies(dataset)
+        for replica in self._replicas:
+            replica.advance_to(float(arrivals[0]), joining=dataset)
+        # Keep the cluster frontier in sync with the workers even if the
+        # whole block is subsequently shed by admission control.
+        self.clock.advance_to(float(arrivals[0]))
+        if not self._all_alive:
+            live = self._live(copies)
+            if not live:
+                raise ReplicaDown(
+                    f"all {len(copies)} copies of dataset {dataset!r} "
+                    f"are down",
+                    dataset=dataset,
+                    queries=stop,
+                )
+            copies = live
+        if self._max_pending is not None:
             pending = self.pending_count()
             free = self._max_pending - pending
             if stop > free:

@@ -181,32 +181,26 @@ def admission_columns(
     )
 
 
-def block_clean_prefix(
+def check_block_nodes(
     xs: np.ndarray,
     ys: np.ndarray,
     *,
     n: int,
     dataset: str,
-) -> Tuple[int, Optional[Exception]]:
-    """Admissible prefix of a validated block, with the first offender's error.
+) -> None:
+    """Refuse a block with an out-of-range query, naming the first one.
 
-    Replicates the per-query loop's error semantics for out-of-range nodes
-    in bulk: one fused bounds check finds every out-of-range query and the
-    earliest one wins.  Returns ``(stop, error)`` — admit ``[:stop]``, then
-    raise ``error`` (``None`` when the whole block is in range).
-
-    Shared by :meth:`LCAQueryService.submit_many` and the cluster layer's
-    block path, which must stay in lockstep for the documented 1-replica
-    bit-identical equivalence.
+    One fused bounds check over the whole block, run before any state
+    changes.  Shared by :meth:`LCAQueryService.submit_many` and the cluster
+    layer's block path, so both refuse the same blocks with the same error.
     """
     bad = query_bounds_mask(xs, ys, n)
-    if not bad.any():
-        return int(xs.size), None
-    stop = int(bad.argmax())
-    return stop, InvalidQueryError(
-        f"query nodes ({xs[stop]}, {ys[stop]}) out of range for "
-        f"dataset {dataset!r} with {n} nodes"
-    )
+    if bad.any():
+        first = int(bad.argmax())
+        raise InvalidQueryError(
+            f"query nodes ({xs[first]}, {ys[first]}) out of range for "
+            f"dataset {dataset!r} with {n} nodes"
+        )
 
 
 class LCAQueryService:
@@ -669,11 +663,9 @@ class LCAQueryService:
         instead of at batch flush (see :meth:`_admit_memoized`).
 
         A malformed block is refused whole, before any state changes: a
-        non-integral node id, a non-finite arrival, or an arrival before the
-        clock or before its predecessor (see :func:`admission_columns`).  An
-        out-of-range query raises at its own position, after every query
-        before it has been admitted (and possibly served), exactly like the
-        per-query loop.
+        non-integral or out-of-range node id, a non-finite arrival, or an
+        arrival before the clock or before its predecessor (see
+        :func:`admission_columns` and :func:`check_block_nodes`).
 
         ``latency_debt`` (cluster failover only) gives each query latency
         already accrued before this re-admission — the gap between its true
@@ -694,51 +686,40 @@ class LCAQueryService:
         xs, ys, arrivals = admission_columns(xs, ys, at, now=self.clock.now)
         if xs.size == 0:
             return np.empty(0, dtype=np.int64)
-        n = self.store.tree(dataset).size
+        check_block_nodes(xs, ys, n=self.store.tree(dataset).size,
+                          dataset=dataset)
+        if latency_debt is not None:
+            debt = np.atleast_1d(np.asarray(latency_debt, dtype=np.float64))
+            if debt.shape != xs.shape:
+                raise ServiceError(
+                    "latency_debt array must match the query arrays")
 
-        # Admissible prefix: the per-query loop raises at the first
-        # out-of-range index after admitting everything before it —
-        # replicate that by admitting the clean prefix, then raising the
-        # same error.
-        stop, error = block_clean_prefix(xs, ys, n=n, dataset=dataset)
-
-        tickets = np.arange(self._next_ticket, self._next_ticket + stop,
+        size = int(xs.size)
+        tickets = np.arange(self._next_ticket, self._next_ticket + size,
                             dtype=np.int64)
-        if stop:
-            self._next_ticket += stop
-            self._ensure_ticket_capacity(self._next_ticket)
-            self.stats_collector.record_submit(stop)
-            if self._observer is not None:
-                self._observer.record_block(EV_ARRIVAL, arrivals[:stop],
-                                            tickets,
-                                            replica=self._obs_replica)
-            if latency_debt is not None:
-                debt = np.atleast_1d(np.asarray(latency_debt,
-                                                dtype=np.float64))
-                if debt.shape != xs.shape:
-                    raise ServiceError(
-                        "latency_debt array must match the query arrays")
-                # Tickets are consecutive: store the block's debt with one
-                # slice assignment before anything can flush and serve it.
-                if self._debt is None:
-                    self._debt = np.zeros(self._answers.size,
-                                          dtype=np.float64)
-                self._debt[int(tickets[0]):int(tickets[-1]) + 1] = debt[:stop]
-            handled = (
-                latency_debt is None
-                and self.answer_cache is not None
-                and self._is_packable(dataset)
-                and self._admit_memoized(dataset, scheduler, tickets,
-                                         xs[:stop], ys[:stop],
-                                         arrivals[:stop])
-            )
-            if not handled:
-                own = scheduler.submit_block(tickets, xs[:stop], ys[:stop],
-                                             arrivals[:stop])
-                self._serve_in_submission_order(dataset, own, arrivals[:stop],
-                                                int(tickets[0]))
-        if error is not None:
-            raise error
+        self._next_ticket += size
+        self._ensure_ticket_capacity(self._next_ticket)
+        self.stats_collector.record_submit(size)
+        if self._observer is not None:
+            self._observer.record_block(EV_ARRIVAL, arrivals, tickets,
+                                        replica=self._obs_replica)
+        if latency_debt is not None:
+            # Tickets are consecutive: store the block's debt with one
+            # slice assignment before anything can flush and serve it.
+            if self._debt is None:
+                self._debt = np.zeros(self._answers.size, dtype=np.float64)
+            self._debt[int(tickets[0]):int(tickets[-1]) + 1] = debt
+        handled = (
+            latency_debt is None
+            and self.answer_cache is not None
+            and self._is_packable(dataset)
+            and self._admit_memoized(dataset, scheduler, tickets, xs, ys,
+                                     arrivals)
+        )
+        if not handled:
+            own = scheduler.submit_block(tickets, xs, ys, arrivals)
+            self._serve_in_submission_order(dataset, own, arrivals,
+                                            int(tickets[0]))
         return tickets
 
     def advance_to(self, t: float, *, joining: Optional[str] = None) -> None:

@@ -103,6 +103,24 @@ class TestBackendContract:
                 if close is not None:
                     close()
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (2, 3, 5)])
+    def test_all_backends_answer_in_the_queries_shape(self, shape):
+        parents = _tree(257)
+        rng = np.random.default_rng(12)
+        xs = rng.integers(0, 257, size=shape)
+        ys = rng.integers(0, 257, size=shape)
+        expected = BinaryLiftingLCA(parents).query(xs, ys)
+        for key in available_backends():
+            kernel = get_kernel_backend(key).compile(parents)
+            try:
+                got = kernel.query(xs, ys)
+                assert got.shape == shape, key
+                assert np.array_equal(got, expected), key
+            finally:
+                close = getattr(kernel, "close", None)
+                if close is not None:
+                    close()
+
     def test_backend_charges_modeled_context(self):
         parents = _tree(128)
         xs, ys = _queries(128, 16)

@@ -293,16 +293,19 @@ def test_unbounded_cluster_never_sheds():
 # Error surface
 # ----------------------------------------------------------------------
 
-def test_invalid_query_rejected_with_prefix_admitted():
+def test_invalid_query_refuses_the_whole_block():
     parents = random_attachment_tree(100, seed=13)
     cluster = build_cluster(parents, 2, policy=POLICY)
     xs = np.array([1, 2, 500, 3])
     ys = np.array([4, 5, 6, 7])
-    with pytest.raises(InvalidQueryError):
+    with pytest.raises(
+        InvalidQueryError, match=r"\(500, 6\) out of range for dataset 't'"
+    ):
         cluster.submit_many("t", xs, ys, at=np.arange(4) * 1e-6)
-    # The clean prefix (2 queries) was admitted, exactly like the plain
-    # service's per-query loop would have.
-    assert cluster.stats().queries_submitted == 2
+    # Refused before any state changes: no query, ticket or clock move.
+    assert cluster.stats().queries_submitted == 0
+    assert cluster.tickets_issued == 0
+    assert cluster.clock.now == 0.0
     with pytest.raises(InvalidQueryError):
         cluster.submit("t", -1, 2)
     with pytest.raises(ServiceError):

@@ -231,15 +231,17 @@ def test_submit_many_out_of_range_rejects_at_its_own_position():
     xs = np.asarray([1, 2, 3, 4, 5, 500, 6])  # index 5 is out of range
     ys = np.asarray([2, 3, 4, 5, 6, 7, 8])
     at = np.arange(7, dtype=np.float64) * 1e-6
-    with pytest.raises(InvalidQueryError):
+    with pytest.raises(InvalidQueryError, match=r"\(500, 7\) out of range"):
         service.submit_many("t", xs, ys, at=at)
-    # The clean prefix was admitted (and its size-triggered batch served),
-    # exactly like the per-query loop.
-    assert service.stats().queries_submitted == 5
-    assert service.pending_count("t") == 1
+    # The block is refused whole, before any state changes: its clean
+    # prefix is not admitted.
+    assert service.stats().queries_submitted == 0
+    assert service.tickets_issued == 0
+    assert service.pending_count("t") == 0
+    tickets = service.submit_many("t", xs[:5], ys[:5], at=at[:5])
     service.drain()
     assert np.array_equal(
-        service.results(np.arange(5)),
+        service.results(tickets),
         BinaryLiftingLCA(parents).query(xs[:5], ys[:5]))
     # Negative nodes are caught by the same fused check.
     with pytest.raises(InvalidQueryError):

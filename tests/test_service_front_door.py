@@ -121,3 +121,31 @@ def test_non_integral_node_ids_are_refused(make_target):
     target.drain()
     expected = BinaryLiftingLCA(PARENTS).query([5, 6], [7, 8])
     assert np.array_equal(target.results(tickets), expected)
+
+
+@TARGETS
+def test_block_with_an_out_of_range_node_is_refused_whole(make_target):
+    # Used to admit the clean prefix in front of the first offender.
+    target = make_target()
+    before = admit_some(target)
+    at = [1e-5, 2e-5, 3e-5, 4e-5]
+    cases = [
+        ([1, 2, 64, 3], [4, 5, 6, 7], r"\(64, 6\)"),
+        ([1, 2, 3, 4], [5, -1, 6, -2], r"\(2, -1\)"),
+    ]
+    for xs, ys, offender in cases:
+        message = offender + " out of range for dataset 't' with 64 nodes"
+        with pytest.raises(InvalidQueryError, match=message):
+            target.submit_many("t", xs, ys, at=at)
+        assert state(target) == before
+    assert_still_serves(target)
+
+
+def test_mismatched_latency_debt_is_refused():
+    # Used to raise only after the block's tickets had been issued.
+    service = make_service()
+    before = admit_some(service)
+    with pytest.raises(ServiceError, match="latency_debt"):
+        service.submit_many("t", [1, 2], [3, 4], at=[1e-5, 2e-5], latency_debt=[0.0])
+    assert state(service) == before
+    assert_still_serves(service)
